@@ -22,7 +22,34 @@ isClosedLoop(const workloads::Workload &w)
     return w.spec().family == "fio";
 }
 
+/** The testbed one harness cell runs on. */
+TestbedConfig
+configFor(const std::string &workload_id, hw::Platform platform,
+          const ExperimentOptions &opts)
+{
+    TestbedConfig config;
+    config.workloadId = workload_id;
+    config.platform = platform;
+    config.seed = opts.seed;
+    config.hostCoresOverride = opts.hostCoresOverride;
+    config.accelQueueing = opts.accelQueueing;
+    config.accelBatchOverride = opts.accelBatchOverride;
+    config.accelRingDepth = opts.accelRingDepth;
+    return config;
+}
+
 } // anonymous namespace
+
+sim::Tick
+windowFor(double rps, const ExperimentOptions &opts)
+{
+    if (rps <= 0.0)
+        return opts.minWindow;
+    const double secs =
+        static_cast<double>(opts.targetSamples) / rps;
+    const auto window = sim::secToTicks(secs);
+    return std::clamp(window, opts.minWindow, opts.maxWindow);
+}
 
 RunResult
 runExperiment(const std::string &workload_id, hw::Platform platform,
@@ -32,60 +59,34 @@ runExperiment(const std::string &workload_id, hw::Platform platform,
     r.workloadId = workload_id;
     r.platform = platform;
 
-    TestbedConfig config;
-    config.workloadId = workload_id;
-    config.platform = platform;
-    config.seed = opts.seed;
-    config.hostCoresOverride = opts.hostCoresOverride;
-    config.accelQueueing = opts.accelQueueing;
-    config.accelBatchOverride = opts.accelBatchOverride;
-    config.accelRingDepth = opts.accelRingDepth;
-    Testbed testbed(config);
+    Testbed testbed(configFor(workload_id, platform, opts));
     if (opts.traceSlowest > 0)
         testbed.enableTracing(opts.traceSlowest);
 
+    Measurement m;
     if (isClosedLoop(testbed.workload())) {
         // Closed loop: capacity and latency come from one run.
         const sim::Tick window = windowFor(
             testbed.estimateCapacityRps(), opts);
-        const Measurement m = testbed.measureClosedLoop(
-            workloads::Fio::ioDepth, opts.warmup, window);
+        m = testbed.measureClosedLoop(workloads::Fio::ioDepth,
+                                      opts.warmup, window);
         r.maxGbps = m.goodputGbps;
         r.maxRps = m.achievedRps;
-        r.p99Us = m.p99Us();
-        r.p50Us = m.p50Us();
-        r.meanUs = m.meanUs();
-        r.energy = m.energy;
-        r.slowestTraces = m.slowestTraces;
-        r.accelBatching = m.accelBatching;
-        r.accelRing = m.accelRing;
-        r.backpressure = m.backpressure;
     } else {
         const Capacity cap = findCapacity(testbed, opts);
-        r.maxRps = cap.rps;
-
-        // Latency/power point near (but below) saturation; offered
-        // rate is request-based, matching the capacity units. A
-        // workload may pin its own operating point (OvS's 10%/100%
-        // traffic-load configurations).
-        const double spec_lf =
-            testbed.workload().spec().operatingLoadFactor;
-        const double rate =
-            cap.requestGbps * (spec_lf > 0.0 ? spec_lf
-                                             : opts.loadFactor);
-        const sim::Tick window = windowFor(cap.rps, opts);
-        const Measurement m =
-            testbed.measure(rate, opts.warmup, window);
+        m = measureLoadPoint(testbed, cap, testbed.workload().spec(),
+                             opts);
         r.maxGbps = cap.gbps;
-        r.p99Us = m.p99Us();
-        r.p50Us = m.p50Us();
-        r.meanUs = m.meanUs();
-        r.energy = m.energy;
-        r.slowestTraces = m.slowestTraces;
-        r.accelBatching = m.accelBatching;
-        r.accelRing = m.accelRing;
-        r.backpressure = m.backpressure;
+        r.maxRps = cap.rps;
     }
+    r.p99Us = m.p99Us();
+    r.p50Us = m.p50Us();
+    r.meanUs = m.meanUs();
+    r.energy = m.energy;
+    r.slowestTraces = std::move(m.slowestTraces);
+    r.accelBatching = m.accelBatching;
+    r.accelRing = m.accelRing;
+    r.backpressure = m.backpressure;
 
     r.efficiencyRpsPerJoule = efficiencyRpsPerJoule(r);
     r.efficiencyGbpsPerWatt = efficiencyGbpsPerWatt(r);
@@ -96,15 +97,7 @@ Measurement
 measureAtRate(const std::string &workload_id, hw::Platform platform,
               double gbps, const ExperimentOptions &opts)
 {
-    TestbedConfig config;
-    config.workloadId = workload_id;
-    config.platform = platform;
-    config.seed = opts.seed;
-    config.hostCoresOverride = opts.hostCoresOverride;
-    config.accelQueueing = opts.accelQueueing;
-    config.accelBatchOverride = opts.accelBatchOverride;
-    config.accelRingDepth = opts.accelRingDepth;
-    Testbed testbed(config);
+    Testbed testbed(configFor(workload_id, platform, opts));
     if (opts.traceSlowest > 0)
         testbed.enableTracing(opts.traceSlowest);
 

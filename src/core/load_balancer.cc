@@ -63,8 +63,6 @@ class BalancerBed
     run()
     {
         power::EnergyMeter meter(_server, _power);
-        const double host_busy0 = 0.0;
-        (void)host_busy0;
         meter.begin();
         const double snic_busy0 = _server.snicCpu().busyIntegral();
         _gen.startSchedule(_config.ratesGbps, _config.binTicks);
@@ -80,9 +78,7 @@ class BalancerBed
             offered += g;
         r.offeredMeanGbps =
             offered / static_cast<double>(_config.ratesGbps.size());
-        const double secs =
-            sim::ticksToSec(end - sim::Tick(0)) -
-            0.0;  // window began at 0 for a fresh bed
+        const double secs = sim::ticksToSec(end);
         r.achievedGbps = _bytesServed * 8.0 / secs / 1e9;
         r.p99Us = sim::ticksToUs(_latency.p99());
         r.meanUs = sim::ticksToUs(_latency.mean());

@@ -96,37 +96,21 @@ Rack::assemble()
     const double mean_bytes = spec.sizes.meanBytes();
     const sim::Tick mean_wire_ticks = sim::secToTicks(
         mean_bytes * 8.0 / (hw::specs::lineRateGbps * 1e9));
-    _tor->setLoadProbe([this, mean_wire_ticks](unsigned m) {
-        const Testbed &bed = *_members[m];
-        const std::uint64_t held =
-            bed._upLink->inFlight() + bed.pipeline().inFlight();
-        std::uint64_t load =
-            bed._upLink->backlog() + held * mean_wire_ticks;
-        // A waking member's remaining boot time is outstanding work
-        // too: without pricing it, the member advertises an empty
-        // queue the moment it rejoins and a queue-aware policy herds
-        // traffic into its admission stall.
-        const sim::Tick wake_done = _memberWakeDone[m];
-        const sim::Tick t = _sim->now();
-        if (wake_done > t)
-            load += wake_done - t;
-        return load;
-    });
-    // The batched form least_queue uses on its hot path: one pass
-    // over the live set, now() and the wake table read once, no
-    // per-member virtual-call round trip. Must compute the exact
-    // numbers of the scalar probe above (asserted in tests).
     _tor->setBatchLoadProbe([this, mean_wire_ticks](
                                 const unsigned *members, unsigned n,
                                 std::uint64_t *out) {
         const sim::Tick t = _sim->now();
         for (unsigned i = 0; i < n; ++i) {
-            const unsigned m = members ? members[i] : i;
+            const unsigned m = members[i];
             const Testbed &bed = *_members[m];
             const std::uint64_t held =
                 bed._upLink->inFlight() + bed.pipeline().inFlight();
             std::uint64_t load =
                 bed._upLink->backlog() + held * mean_wire_ticks;
+            // A waking member's remaining boot time is outstanding
+            // work too: without pricing it, the member advertises an
+            // empty queue the moment it rejoins and a queue-aware
+            // policy herds traffic into its admission stall.
             const sim::Tick wake_done = _memberWakeDone[m];
             if (wake_done > t)
                 load += wake_done - t;
@@ -268,10 +252,8 @@ Rack::memberQuiescent(unsigned m) const
 void
 Rack::beginTrace(const std::vector<double> &rates_gbps, sim::Tick bin)
 {
-    for (auto &m : _members) {
+    for (auto &m : _members)
         m->beginWindow();
-        m->_closedLoopActive = false;
-    }
     _tor->resetStats();
     _gen->startSchedule(rates_gbps, bin);
 }
@@ -285,23 +267,15 @@ Rack::stopTrace()
 void
 Rack::beginBin()
 {
+    _binMeters.clear();
+    _binMeters.reserve(_members.size());
     for (auto &m : _members) {
         // Stats only: no epoch advance, no datapath reset — requests
         // straddling the bin boundary stay in flight and record in
         // the bin they complete in.
-        m->_latency.reset();
-        m->_completed = 0;
-        m->_generatedInWindow = 0;
-        m->_bytesServed = 0.0;
-        m->_goodputBytes = 0.0;
-        m->_wireBytes = 0.0;
-        m->_recording = true;
-    }
-    _binMeters.clear();
-    _binMeters.reserve(_members.size());
-    for (auto &m : _members) {
-        _binMeters.emplace_back(*m->_server, *m->_power);
-        _binMeters.back().begin();
+        m->_window.clear();
+        m->_window.recording = true;
+        _binMeters.emplace_back(*m->_server, *m->_power).begin();
     }
 }
 
@@ -316,13 +290,13 @@ Rack::endBin(sim::Tick bin_ticks)
     const double secs = sim::ticksToSec(bin_ticks);
     double bytes_served = 0.0;
     for (std::size_t i = 0; i < _members.size(); ++i) {
-        Testbed &m = *_members[i];
-        bs.completed += m._completed;
-        bs.generated += m._generatedInWindow;
-        bytes_served += m._bytesServed;
-        bs.latency.merge(m._latency);
-        bs.memberCompleted.push_back(m._completed);
-        bs.memberEnergy.push_back(_binMeters[i].end(m._wireBytes / 2.0));
+        const Testbed::Window &w = _members[i]->_window;
+        bs.completed += w.completed;
+        bs.generated += w.generated;
+        bytes_served += w.bytesServed;
+        bs.latency.merge(w.latency);
+        bs.memberCompleted.push_back(w.completed);
+        bs.memberEnergy.push_back(_binMeters[i].end(w.wireBytes / 2.0));
     }
     bs.achievedGbps = bytes_served * 8.0 / secs / 1e9;
     return bs;
@@ -353,45 +327,21 @@ RackMeasurement
 Rack::measure(double aggregate_gbps, sim::Tick warmup,
               sim::Tick window)
 {
-    // Mirror Testbed::measure step-for-step so a 1-server
+    // The same window skeleton as Testbed::measure, so a 1-server
     // PassThrough rack replays the identical event sequence.
-    for (auto &m : _members) {
-        m->beginWindow();
-        m->_closedLoopActive = false;
-    }
-    _tor->resetStats();
-
-    const sim::Tick start = _sim->now();
-    const sim::Tick window_start = start + warmup;
-    const sim::Tick window_end = window_start + window;
-
-    _gen->startAtRate(aggregate_gbps, window_end);
-    _sim->runUntil(window_start);
-    for (auto &m : _members) {
-        m->resetWindowObservers();
-        m->_recording = true;
-    }
-    std::vector<power::EnergyMeter> meters;
-    meters.reserve(_members.size());
-    for (auto &m : _members) {
-        meters.emplace_back(*m->_server, *m->_power);
-        meters.back().begin();
-    }
-    _sim->runUntil(window_end);
+    std::vector<Testbed *> members;
+    members.reserve(_members.size());
     for (auto &m : _members)
-        m->_recording = false;
-    _gen->stop();
-
+        members.push_back(m.get());
     RackMeasurement rm;
-    rm.perServer.reserve(_members.size());
-    const double per_server_offered =
-        aggregate_gbps / static_cast<double>(_members.size());
-    for (std::size_t i = 0; i < _members.size(); ++i) {
-        Testbed &m = *_members[i];
-        Measurement mi = m.collect(warmup, window, per_server_offered);
-        mi.energy = meters[i].end(m._wireBytes / 2.0);
-        rm.perServer.push_back(std::move(mi));
-    }
+    rm.perServer = Testbed::measureWindow(
+        members, warmup, window,
+        aggregate_gbps / static_cast<double>(_members.size()),
+        [this, aggregate_gbps](sim::Tick window_end) {
+            _tor->resetStats();
+            _gen->startAtRate(aggregate_gbps, window_end);
+        },
+        [this] { _gen->stop(); });
     rm.dispatched = _tor->dispatched();
     rm.imbalance = _tor->imbalance();
 
@@ -479,12 +429,8 @@ runRackExperiment(const RackConfig &config,
     r.searchAttempts = cap.attempts;
     r.saturated = cap.saturated;
 
-    const double spec_lf =
-        rack.server(0).workload().spec().operatingLoadFactor;
-    const double rate =
-        cap.requestGbps * (spec_lf > 0.0 ? spec_lf : opts.loadFactor);
-    const sim::Tick window = windowFor(cap.rps, opts);
-    RackMeasurement rm = rack.measure(rate, opts.warmup, window);
+    RackMeasurement rm = measureLoadPoint(
+        rack, cap, rack.server(0).workload().spec(), opts);
     r.p99Us = rm.aggregate.p99Us();
     r.p50Us = rm.aggregate.p50Us();
     r.meanUs = rm.aggregate.meanUs();

@@ -134,8 +134,8 @@ class Rack
 
     /**
      * Open-loop rack measurement: offer @p aggregate_gbps across the
-     * whole rack for @p window after @p warmup. Mirrors
-     * Testbed::measure member-by-member.
+     * whole rack for @p window after @p warmup: Testbed's window
+     * skeleton over every member, then the merged aggregate.
      */
     RackMeasurement measure(double aggregate_gbps, sim::Tick warmup,
                             sim::Tick window);

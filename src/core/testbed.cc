@@ -213,18 +213,7 @@ Testbed::assemble()
         *_sim, "downlink", hw::specs::lineRateGbps,
         sim::usToTicks(1.0));
 
-    // Assemble the stage pipeline over the hardware.
-    const PipelineContext ctx{*_sim,     *_server,
-                              *_workload, *_stack,
-                              servingCpu(), _config.platform,
-                              /*epochStart=*/0,
-                              /*tracer=*/nullptr,
-                              /*liveRequests=*/0, &_chain,
-                              _config.xdpVerdict};
-    // The conversion to the privately-inherited EgressSink must
-    // happen here, inside the class's own scope.
-    EgressSink &sink_self = *this;
-    _pipeline = std::make_unique<Pipeline>(ctx, *_downLink, sink_self);
+    buildPipeline(*_downLink);
 
     // Wire: uplink -> eSwitch -> pipeline front.
     _server->eswitch().setClassifier(
@@ -249,14 +238,14 @@ Testbed::assemble()
         const sim::Tick rtt =
             _sim->now() - pkt.createdAt +
             sim::nsToTicks(pkt.extraNs);
-        if (_recording) {
+        if (_window.recording) {
             if (_config.goodFilter && !_config.goodFilter(pkt)) {
                 // A hostile-flood completion: served, but not part
                 // of the legitimate-traffic SLO.
-                ++_floodCompleted;
+                ++_window.floodCompleted;
             } else {
-                _latency.record(rtt);
-                ++_completed;
+                _window.latency.record(rtt);
+                ++_window.completed;
             }
         }
         if (_closedLoopActive) {
@@ -311,16 +300,8 @@ Testbed::resetWindowObservers()
 }
 
 void
-Testbed::installRackChain(std::vector<ChainStageRuntime> chain,
-                          net::Link &egress_down)
+Testbed::buildPipeline(net::Link &egress_down)
 {
-    _chain = std::move(chain);
-    // Rebuild the pipeline over the spanning chain. The context is
-    // assembled exactly like assemble()'s: this member stays the
-    // ingress (its uplink, eSwitch and stack front the chain), while
-    // stages pinned to other members resolve their own hardware via
-    // ChainStageRuntime::server and the response serializes on the
-    // last member's down link.
     const PipelineContext ctx{*_sim,     *_server,
                               *_workload, *_stack,
                               servingCpu(), _config.platform,
@@ -328,10 +309,25 @@ Testbed::installRackChain(std::vector<ChainStageRuntime> chain,
                               /*tracer=*/nullptr,
                               /*liveRequests=*/0, &_chain,
                               _config.xdpVerdict};
+    // The conversion to the privately-inherited EgressSink must
+    // happen here, inside the class's own scope.
     EgressSink &sink_self = *this;
     _pipeline = std::make_unique<Pipeline>(ctx, egress_down, sink_self);
     if (_tracer)
         _pipeline->setTracer(_tracer.get());
+}
+
+void
+Testbed::installRackChain(std::vector<ChainStageRuntime> chain,
+                          net::Link &egress_down)
+{
+    // Rebuild the pipeline over the spanning chain: this member stays
+    // the ingress (its uplink, eSwitch and stack front the chain),
+    // while stages pinned to other members resolve their own hardware
+    // via ChainStageRuntime::server and the response serializes on
+    // the last member's down link.
+    _chain = std::move(chain);
+    buildPipeline(egress_down);
 }
 
 void
@@ -354,20 +350,27 @@ Testbed::resetDatapath()
 }
 
 void
+Testbed::Window::clear()
+{
+    recording = false;
+    latency.reset();
+    completed = 0;
+    floodCompleted = 0;
+    generated = 0;
+    bytesServed = 0.0;
+    goodputBytes = 0.0;
+    wireBytes = 0.0;
+}
+
+void
 Testbed::beginWindow()
 {
+    _closedLoopActive = false;
     _pipeline->setEpoch(_sim->now());
     _pipeline->resetStats();
     if (_tracer)
         _tracer->reset();
-    _recording = false;
-    _latency.reset();
-    _completed = 0;
-    _floodCompleted = 0;
-    _generatedInWindow = 0;
-    _bytesServed = 0.0;
-    _goodputBytes = 0.0;
-    _wireBytes = 0.0;
+    _window.clear();
     resetDatapath();
 }
 
@@ -382,19 +385,19 @@ void
 Testbed::onServed(const net::Packet &pkt,
                   const workloads::RequestPlan &plan)
 {
-    if (!_recording)
+    if (!_window.recording)
         return;
     // Flood traffic still burns wire bytes (the energy model's
     // per-byte NIC cost is real), but contributes nothing to the
     // legitimate-traffic goodput the SLO is judged on.
-    _wireBytes += static_cast<double>(pkt.sizeBytes) +
-                  plan.responseBytes;
-    ++_generatedInWindow;
+    _window.wireBytes += static_cast<double>(pkt.sizeBytes) +
+                         plan.responseBytes;
+    ++_window.generated;
     if (_config.goodFilter && !_config.goodFilter(pkt))
         return;
-    _bytesServed += pkt.sizeBytes;
-    _goodputBytes += std::max<double>(pkt.sizeBytes,
-                                      plan.responseBytes);
+    _window.bytesServed += pkt.sizeBytes;
+    _window.goodputBytes += std::max<double>(pkt.sizeBytes,
+                                             plan.responseBytes);
     if (_servedSeries)
         _servedSeries->add(_sim->now(), pkt.sizeBytes);
 }
@@ -402,9 +405,9 @@ Testbed::onServed(const net::Packet &pkt,
 void
 Testbed::onTerminal(sim::Tick latency)
 {
-    if (_recording) {
-        _latency.record(latency);
-        ++_completed;
+    if (_window.recording) {
+        _window.latency.record(latency);
+        ++_window.completed;
     }
     if (_closedLoopActive) {
         --_inFlight;
@@ -418,6 +421,12 @@ Testbed::issueClosedLoopJob()
     if (!_closedLoopActive || _inFlight >= _targetDepth)
         return;
     ++_inFlight;
+    injectLocalJob();
+}
+
+void
+Testbed::injectLocalJob()
+{
     net::Packet job;
     job.id = ++_jobSeq;
     job.sizeBytes = _workload->spec().sizes.sample(_sim->rng());
@@ -427,20 +436,19 @@ Testbed::issueClosedLoopJob()
 }
 
 Measurement
-Testbed::collect(sim::Tick warmup, sim::Tick window,
-                 double offered_gbps)
+Testbed::collect(sim::Tick window, double offered_gbps,
+                 const power::EnergyMeter &meter)
 {
-    (void)warmup;
     Measurement m;
     m.offeredGbps = offered_gbps;
-    m.latency = _latency;
-    m.completed = _completed;
-    m.floodCompleted = _floodCompleted;
-    m.generated = _generatedInWindow;
+    m.latency = _window.latency;
+    m.completed = _window.completed;
+    m.floodCompleted = _window.floodCompleted;
+    m.generated = _window.generated;
     const double secs = sim::ticksToSec(window);
-    m.achievedGbps = _bytesServed * 8.0 / secs / 1e9;
-    m.goodputGbps = _goodputBytes * 8.0 / secs / 1e9;
-    m.achievedRps = static_cast<double>(_completed) / secs;
+    m.achievedGbps = _window.bytesServed * 8.0 / secs / 1e9;
+    m.goodputGbps = _window.goodputBytes * 8.0 / secs / 1e9;
+    m.achievedRps = static_cast<double>(_window.completed) / secs;
     m.stageStats = _pipeline->snapshot();
     if (_tracer)
         m.slowestTraces = _tracer->slowest();
@@ -452,68 +460,86 @@ Testbed::collect(sim::Tick warmup, sim::Tick window,
             m.slowestTraces, accelEngine().ringFullSpans(),
             accel_stage ? accel_stage->index() : -1);
     }
+    m.energy = meter.end(_window.wireBytes / 2.0);
     return m;
+}
+
+std::vector<Measurement>
+Testbed::measureWindow(std::span<Testbed *const> members,
+                       sim::Tick warmup, sim::Tick window,
+                       double offered_gbps,
+                       const std::function<void(sim::Tick)> &start,
+                       const std::function<void()> &stop)
+{
+    for (Testbed *m : members)
+        m->beginWindow();
+
+    sim::Simulation &sim = *members.front()->_sim;
+    const sim::Tick window_start = sim.now() + warmup;
+    const sim::Tick window_end = window_start + window;
+    start(window_end);
+
+    sim.runUntil(window_start);
+    std::vector<power::EnergyMeter> meters;
+    meters.reserve(members.size());
+    for (Testbed *m : members) {
+        m->resetWindowObservers();
+        m->_window.recording = true;
+        meters.emplace_back(*m->_server, *m->_power).begin();
+    }
+    sim.runUntil(window_end);
+    for (Testbed *m : members)
+        m->_window.recording = false;
+    stop();
+
+    std::vector<Measurement> out;
+    out.reserve(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i)
+        out.push_back(members[i]->collect(window, offered_gbps, meters[i]));
+    return out;
 }
 
 Measurement
 Testbed::measure(double gbps, sim::Tick warmup, sim::Tick window)
 {
-    const workloads::Spec &spec = _workload->spec();
-    beginWindow();
-    _closedLoopActive = false;
-
-    const sim::Tick start = _sim->now();
-    const sim::Tick window_start = start + warmup;
-    const sim::Tick window_end = window_start + window;
-
-    if (spec.drive == workloads::Drive::Network) {
-        _gen->startAtRate(gbps, window_end);
-    } else {
-        // Local open-loop job generator (Cryptography).
-        startLocalGenerator(gbps, window_end);
-    }
-
-    _sim->runUntil(window_start);
-    resetWindowObservers();
-    _recording = true;
-    power::EnergyMeter meter(*_server, *_power);
-    meter.begin();
-    _sim->runUntil(window_end);
-    _recording = false;
-    if (_gen)
-        _gen->stop();
-
-    Measurement m = collect(warmup, window, gbps);
-    m.energy = meter.end(_wireBytes / 2.0);
-    return m;
+    Testbed *self = this;
+    return std::move(
+        measureWindow(
+            {&self, 1}, warmup, window, gbps,
+            [this, gbps](sim::Tick window_end) {
+                if (_gen) {
+                    _gen->startAtRate(gbps, window_end);
+                    return;
+                }
+                // Local open-loop job generator (Cryptography).
+                scheduleLocalJob(net::gbpsToBytesPerSec(gbps) /
+                                     _workload->spec().sizes.meanBytes(),
+                                 window_end);
+            },
+            [this] {
+                if (_gen)
+                    _gen->stop();
+            })
+            .front());
 }
 
 Measurement
 Testbed::measureClosedLoop(unsigned depth, sim::Tick warmup,
                            sim::Tick window)
 {
-    beginWindow();
-
-    _closedLoopActive = true;
-    _targetDepth = depth;
-    _inFlight = 0;
-    for (unsigned i = 0; i < depth; ++i)
-        issueClosedLoopJob();
-
-    const sim::Tick window_start = _sim->now() + warmup;
-    const sim::Tick window_end = window_start + window;
-    _sim->runUntil(window_start);
-    resetWindowObservers();
-    _recording = true;
-    power::EnergyMeter meter(*_server, *_power);
-    meter.begin();
-    _sim->runUntil(window_end);
-    _recording = false;
-    _closedLoopActive = false;
-
-    Measurement m = collect(warmup, window, 0.0);
-    m.energy = meter.end(_wireBytes / 2.0);
-    return m;
+    Testbed *self = this;
+    return std::move(
+        measureWindow(
+            {&self, 1}, warmup, window, 0.0,
+            [this, depth](sim::Tick) {
+                _closedLoopActive = true;
+                _targetDepth = depth;
+                _inFlight = 0;
+                for (unsigned i = 0; i < depth; ++i)
+                    issueClosedLoopJob();
+            },
+            [this] { _closedLoopActive = false; })
+            .front());
 }
 
 Measurement
@@ -522,28 +548,25 @@ Testbed::replaySchedule(const std::vector<double> &rates_gbps,
 {
     if (_workload->spec().drive != workloads::Drive::Network)
         sim::fatal("Testbed::replaySchedule requires a network drive");
-    beginWindow();
-    _closedLoopActive = false;
-    _servedSeries = std::make_unique<stats::TimeSeries>(bin);
-
-    const sim::Tick start = _sim->now();
-    const sim::Tick end = start + bin * rates_gbps.size();
-    _gen->startSchedule(rates_gbps, bin);
-    _recording = true;
-    power::EnergyMeter meter(*_server, *_power);
-    meter.begin();
-    // Run a little past the end so in-flight requests drain.
-    _sim->runUntil(end);
-    _recording = false;
-    _sim->runUntil(end + sim::msToTicks(2.0));
-
     double mean_rate = 0.0;
     for (double r : rates_gbps)
         mean_rate += r;
     mean_rate /= static_cast<double>(rates_gbps.size());
 
-    Measurement m = collect(0, end - start, mean_rate);
-    m.energy = meter.end(_wireBytes / 2.0);
+    // The whole trace is the window (no warmup); stopping runs a
+    // little past the end so in-flight requests drain.
+    const sim::Tick start = _sim->now();
+    const sim::Tick end = start + bin * rates_gbps.size();
+    Testbed *self = this;
+    Measurement m = std::move(
+        measureWindow(
+            {&self, 1}, 0, end - start, mean_rate,
+            [&](sim::Tick) {
+                _servedSeries = std::make_unique<stats::TimeSeries>(bin);
+                _gen->startSchedule(rates_gbps, bin);
+            },
+            [&] { _sim->runUntil(end + sim::msToTicks(2.0)); })
+            .front());
     const std::size_t first_bin =
         static_cast<std::size_t>(start / bin);
     for (std::size_t i = first_bin;
@@ -556,25 +579,11 @@ Testbed::replaySchedule(const std::vector<double> &rates_gbps,
 }
 
 void
-Testbed::startLocalGenerator(double gbps, sim::Tick until)
-{
-    const double mean_bytes = _workload->spec().sizes.meanBytes();
-    const double jobs_per_sec =
-        net::gbpsToBytesPerSec(gbps) / mean_bytes;
-    scheduleLocalJob(jobs_per_sec, until);
-}
-
-void
 Testbed::scheduleLocalJob(double jobs_per_sec, sim::Tick until)
 {
     if (_sim->now() >= until)
         return;
-    net::Packet job;
-    job.id = ++_jobSeq;
-    job.sizeBytes = _workload->spec().sizes.sample(_sim->rng());
-    job.createdAt = _sim->now();
-    job.flowHash = _sim->rng().next();
-    _pipeline->inject(job);
+    injectLocalJob();
 
     const double gap_sec =
         _sim->rng().exponential(1.0 / jobs_per_sec);

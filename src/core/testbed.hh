@@ -23,7 +23,9 @@
 #ifndef SNIC_CORE_TESTBED_HH
 #define SNIC_CORE_TESTBED_HH
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/chain.hh"
@@ -259,17 +261,26 @@ class Testbed : private EgressSink
     /** Per-request trace recorder (allocated by enableTracing). */
     std::unique_ptr<TraceRecorder> _tracer;
 
+    /** One measurement window's counters, cleared as a unit at each
+     *  window (beginWindow) or stats-bin (Rack::beginBin) boundary. */
+    struct Window
+    {
+        bool recording = false;
+        stats::Histogram latency;
+        std::uint64_t completed = 0;
+        std::uint64_t floodCompleted = 0;
+        std::uint64_t generated = 0;
+        double bytesServed = 0.0;   ///< request bytes
+        double goodputBytes = 0.0;  ///< max(request, response) bytes
+        double wireBytes = 0.0;     ///< request + response bytes
+
+        void clear();
+    };
+
     // Live measurement state. The pipeline's epoch guards against
     // requests left in flight by a previous measurement window:
     // anything created before it is dropped unrecorded.
-    bool _recording = false;
-    stats::Histogram _latency;
-    std::uint64_t _completed = 0;
-    std::uint64_t _floodCompleted = 0;
-    std::uint64_t _generatedInWindow = 0;
-    double _bytesServed = 0.0;   ///< request bytes
-    double _goodputBytes = 0.0;  ///< max(request, response) bytes
-    double _wireBytes = 0.0;     ///< request + response bytes
+    Window _window;
     /** Per-bin served-byte series, active during replaySchedule. */
     std::unique_ptr<stats::TimeSeries> _servedSeries;
 
@@ -289,10 +300,16 @@ class Testbed : private EgressSink
     void assemble();
 
     void issueClosedLoopJob();
-    void startLocalGenerator(double gbps, sim::Tick until);
     void scheduleLocalJob(double jobs_per_sec, sim::Tick until);
-    Measurement collect(sim::Tick warmup, sim::Tick window,
-                        double offered_gbps);
+    /** Inject one locally generated job at the pipeline front. */
+    void injectLocalJob();
+
+    /** (Re)build the stage pipeline over _chain, responses leaving
+     *  on @p egress_down. */
+    void buildPipeline(net::Link &egress_down);
+    /** The window's Measurement, energy read off @p meter. */
+    Measurement collect(sim::Tick window, double offered_gbps,
+                        const power::EnergyMeter &meter);
 
     /** The CPU platform that serves this config. */
     hw::ExecutionPlatform &servingCpu();
@@ -319,6 +336,21 @@ class Testbed : private EgressSink
     /** Start a fresh measurement window: advance the epoch, clear
      *  the recorders and per-stage stats. */
     void beginWindow();
+
+    /**
+     * The one measurement window (measure, measureClosedLoop,
+     * replaySchedule, Rack::measure), over @p members sharing one
+     * Simulation: begin a fresh window on each, run @p start (given
+     * the window's end tick), warm up for @p warmup, restart the
+     * observers and record under per-member energy meters for
+     * @p window, stop recording, run @p stop, then collect each
+     * member's Measurement (@p offered_gbps apiece), member order.
+     */
+    static std::vector<Measurement>
+    measureWindow(std::span<Testbed *const> members, sim::Tick warmup,
+                  sim::Tick window, double offered_gbps,
+                  const std::function<void(sim::Tick)> &start,
+                  const std::function<void()> &stop);
 
     /** Drain queues and clear link/PCIe backlog between windows. */
     void resetDatapath();

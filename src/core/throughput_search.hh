@@ -44,6 +44,26 @@ class Rack;
  */
 Capacity findCapacity(Rack &rack, const ExperimentOptions &opts);
 
+/**
+ * The procedure's second step: measure @p unit (a Testbed or a Rack)
+ * at its load point — the workload's pinned operating load factor
+ * (OvS's 10%/100% traffic-load configurations), else opts.loadFactor,
+ * of the request-basis capacity @p cap, near but below saturation —
+ * over a window sized for ~targetSamples at the capacity's rps.
+ */
+template <class Unit>
+auto
+measureLoadPoint(Unit &unit, const Capacity &cap,
+                 const workloads::Spec &spec,
+                 const ExperimentOptions &opts)
+{
+    const double lf = spec.operatingLoadFactor > 0.0
+                          ? spec.operatingLoadFactor
+                          : opts.loadFactor;
+    return unit.measure(cap.requestGbps * lf, opts.warmup,
+                        windowFor(cap.rps, opts));
+}
+
 } // namespace snic::core
 
 #endif // SNIC_CORE_THROUGHPUT_SEARCH_HH

@@ -6,6 +6,7 @@
 #include "net/tor_switch.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/logging.hh"
 
@@ -63,8 +64,9 @@ TorSwitch::TorSwitch(const TorConfig &config)
       _rng(config.seed * 0x9e3779b97f4a7c15ULL + 0x7045ULL),
       _dispatched(config.members, 0),
       _live(config.members, true),
-      _liveCount(config.members)
+      _liveList(config.members)
 {
+    std::iota(_liveList.begin(), _liveList.end(), 0u);
     if (_config.members == 0)
         sim::fatal("TorSwitch: a rack needs at least one member");
     if (_config.policy == DispatchPolicy::PassThrough &&
@@ -96,7 +98,10 @@ TorSwitch::forwardNs() const
 std::uint64_t
 TorSwitch::load(unsigned member)
 {
-    return _probe ? _probe(member) : 0;
+    std::uint64_t l = 0;
+    if (_batchProbe)
+        _batchProbe(&member, 1, &l);
+    return l;
 }
 
 void
@@ -107,126 +112,40 @@ TorSwitch::setLive(unsigned m, bool live)
                    _config.members);
     if (_live[m] == live)
         return;
-    if (!live && _liveCount == 1)
+    if (!live && _liveList.size() == 1)
         sim::fatal("TorSwitch: cannot remove the last live member");
     _live[m] = live;
-    _liveCount += live ? 1u : -1u;
     _liveList.clear();
-    if (_liveCount != _config.members) {
-        _liveList.reserve(_liveCount);
-        for (unsigned i = 0; i < _config.members; ++i) {
-            if (_live[i])
-                _liveList.push_back(i);
-        }
+    for (unsigned i = 0; i < _config.members; ++i) {
+        if (_live[i])
+            _liveList.push_back(i);
     }
-}
-
-unsigned
-TorSwitch::pickFiltered(const Packet &pkt)
-{
-    // The same policies, restricted to the live members. RoundRobin
-    // keeps its rotation counter so re-awakened members rejoin the
-    // rotation seamlessly; FlowHash re-hashes flows onto the live
-    // list (the ECMP rehash a real ToR performs when a next-hop is
-    // withdrawn); the load-aware policies never probe a dead member.
-    const unsigned n = _liveCount;
-    unsigned target = _liveList[0];
-    switch (_config.policy) {
-      case DispatchPolicy::PassThrough:
-        // Pass-through is the 1-server identity wiring; its only
-        // member can never be removed (last-live guard above).
-        break;
-      case DispatchPolicy::RoundRobin:
-        target = _liveList[static_cast<unsigned>(_rrNext++ % n)];
-        break;
-      case DispatchPolicy::Random:
-        target = _liveList[static_cast<unsigned>(
-            _rng.uniformInt(0, n - 1))];
-        break;
-      case DispatchPolicy::Random2Choice: {
-        const unsigned a = _liveList[static_cast<unsigned>(
-            _rng.uniformInt(0, n - 1))];
-        const unsigned b = _liveList[static_cast<unsigned>(
-            _rng.uniformInt(0, n - 1))];
-        target = load(b) < load(a) ? b : a;
-        break;
-      }
-      case DispatchPolicy::FlowHash: {
-        const std::uint64_t flow = hotKeyCollapse(
-            pkt.flowHash, _config.flowCount, _config.hotFlowFraction,
-            _rng);
-        target = _liveList[static_cast<unsigned>(mix64(flow) % n)];
-        break;
-      }
-      case DispatchPolicy::LeastQueue: {
-        if (_batchProbe) {
-            _loadScratch.resize(n);
-            _batchProbe(_liveList.data(), n, _loadScratch.data());
-            std::uint64_t best = _loadScratch[0];
-            for (unsigned i = 1; i < n; ++i) {
-                if (_loadScratch[i] < best) {
-                    best = _loadScratch[i];
-                    target = _liveList[i];
-                }
-            }
-            break;
-        }
-        std::uint64_t best = load(_liveList[0]);
-        for (unsigned i = 1; i < n; ++i) {
-            const std::uint64_t l = load(_liveList[i]);
-            if (l < best) {
-                best = l;
-                target = _liveList[i];
-            }
-        }
-        break;
-      }
-      case DispatchPolicy::RandomDChoice: {
-        target = _liveList[static_cast<unsigned>(
-            _rng.uniformInt(0, n - 1))];
-        std::uint64_t best = load(target);
-        for (unsigned p = 1; p < _config.probes; ++p) {
-            const unsigned c = _liveList[static_cast<unsigned>(
-                _rng.uniformInt(0, n - 1))];
-            const std::uint64_t l = load(c);
-            if (l < best) {
-                best = l;
-                target = c;
-            }
-        }
-        break;
-      }
-    }
-    ++_dispatched[target];
-    return target;
 }
 
 unsigned
 TorSwitch::pick(const Packet &pkt)
 {
-    if (_liveCount != _config.members)
-        return pickFiltered(pkt);
-    const unsigned m = _config.members;
-    unsigned target = 0;
+    // Every policy runs over the live members. RoundRobin keeps its
+    // rotation counter so re-awakened members rejoin the rotation
+    // seamlessly; FlowHash re-hashes flows onto the live list (the
+    // ECMP rehash a real ToR performs when a next-hop is withdrawn);
+    // the load-aware policies never probe a dead member. With every
+    // member live the list is the identity, so indices and RNG draws
+    // are those of the unfiltered rack.
+    const auto n = static_cast<unsigned>(_liveList.size());
+    const unsigned *live = _liveList.data();
+    unsigned target = live[0];
     switch (_config.policy) {
       case DispatchPolicy::PassThrough:
-        target = 0;
+        // Pass-through is the 1-server identity wiring; its only
+        // member can never be removed (last-live guard in setLive).
         break;
       case DispatchPolicy::RoundRobin:
-        target = static_cast<unsigned>(_rrNext++ % m);
+        target = live[_rrNext++ % n];
         break;
       case DispatchPolicy::Random:
-        target = static_cast<unsigned>(
-            _rng.uniformInt(0, m - 1));
+        target = live[_rng.uniformInt(0, n - 1)];
         break;
-      case DispatchPolicy::Random2Choice: {
-        const auto a = static_cast<unsigned>(
-            _rng.uniformInt(0, m - 1));
-        const auto b = static_cast<unsigned>(
-            _rng.uniformInt(0, m - 1));
-        target = load(b) < load(a) ? b : a;
-        break;
-      }
       case DispatchPolicy::FlowHash: {
         // Collapse the packet's RSS hash onto flowCount sticky flows,
         // optionally re-pointing a hot fraction at flow 0, then hash
@@ -236,43 +155,39 @@ TorSwitch::pick(const Packet &pkt)
         const std::uint64_t flow = hotKeyCollapse(
             pkt.flowHash, _config.flowCount, _config.hotFlowFraction,
             _rng);
-        target = static_cast<unsigned>(mix64(flow) % m);
+        target = live[mix64(flow) % n];
         break;
       }
       case DispatchPolicy::LeastQueue: {
-        if (_batchProbe) {
-            _loadScratch.resize(m);
-            _batchProbe(nullptr, m, _loadScratch.data());
-            std::uint64_t best = _loadScratch[0];
-            for (unsigned i = 1; i < m; ++i) {
-                if (_loadScratch[i] < best) {
-                    best = _loadScratch[i];
-                    target = i;
-                }
-            }
+        // One probe call over the whole live set; the argmin keeps
+        // the first minimum (ties go to the lowest live index, which
+        // is also the pick when no probe reports any load).
+        if (!_batchProbe)
             break;
-        }
-        std::uint64_t best = load(0);
-        for (unsigned i = 1; i < m; ++i) {
-            const std::uint64_t l = load(i);
-            if (l < best) {
-                best = l;
-                target = i;
+        _loadScratch.resize(n);
+        _batchProbe(live, n, _loadScratch.data());
+        std::uint64_t best = _loadScratch[0];
+        for (unsigned i = 1; i < n; ++i) {
+            if (_loadScratch[i] < best) {
+                best = _loadScratch[i];
+                target = live[i];
             }
         }
         break;
       }
+      case DispatchPolicy::Random2Choice:
       case DispatchPolicy::RandomDChoice: {
-        // d samples with replacement, keep the first minimum. With
-        // d=2 this draws and compares exactly like Random2Choice
-        // (target=a, challenger=b, strict-less replaces), so the two
-        // policies pick identically from the same RNG state; d=1 is
-        // one draw — Random's dispatch sequence bit for bit.
-        target = static_cast<unsigned>(_rng.uniformInt(0, m - 1));
+        // d samples with replacement, keep the first minimum.
+        // Random2Choice is d=2; d=1 is one draw — Random's dispatch
+        // sequence bit for bit.
+        const unsigned d =
+            _config.policy == DispatchPolicy::Random2Choice
+                ? 2
+                : _config.probes;
+        target = live[_rng.uniformInt(0, n - 1)];
         std::uint64_t best = load(target);
-        for (unsigned p = 1; p < _config.probes; ++p) {
-            const auto c = static_cast<unsigned>(
-                _rng.uniformInt(0, m - 1));
+        for (unsigned p = 1; p < d; ++p) {
+            const unsigned c = live[_rng.uniformInt(0, n - 1)];
             const std::uint64_t l = load(c);
             if (l < best) {
                 best = l;

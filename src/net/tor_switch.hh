@@ -92,14 +92,10 @@ struct TorConfig
     double probeNs = 50.0;
 };
 
-/** Queue-depth observer for the load-aware policies: requests
- *  currently inside member @p i's server pipeline. */
-using LoadProbe = sim::InlineFn<std::uint64_t(unsigned member), 24>;
-
-/** Batched form: fill out[i] with the load of members[i] for i in
- *  [0, n) in one pass (members == nullptr means the identity set
- *  0..n-1). LeastQueue prefers this when installed — one call per
- *  dispatch instead of one per member. */
+/** Queue-depth observer for the load-aware policies: fill out[i]
+ *  with the outstanding work of member members[i] for i in [0, n).
+ *  LeastQueue reads the whole live set in one call; the sampling
+ *  policies read one member per call. */
 using BatchLoadProbe =
     sim::InlineFn<void(const unsigned *members, unsigned n,
                        std::uint64_t *out), 24>;
@@ -115,12 +111,7 @@ class TorSwitch
 
     /** Attach the queue-depth observer (required for Random2Choice,
      *  RandomDChoice and LeastQueue; ignored by the oblivious
-     *  policies). */
-    void setLoadProbe(LoadProbe probe) { _probe = std::move(probe); }
-
-    /** Attach the batched observer. Must report the same loads as the
-     *  scalar probe; LeastQueue picks are identical either way (the
-     *  argmin keeps the first minimum in both paths). */
+     *  policies, and every load reads 0 without one). */
     void
     setBatchLoadProbe(BatchLoadProbe probe)
     {
@@ -133,8 +124,9 @@ class TorSwitch
      * probe set — a least_queue probe would otherwise read the
      * sleeping member's empty queue and herd the whole rack onto a
      * box that serves nothing. Fatal if the last live member is
-     * removed. With every member live (the default) each policy runs
-     * its original code path, bit for bit.
+     * removed. Every policy runs over the live list; with every
+     * member live (the default) that list is the identity, so each
+     * policy's draws and picks are those of an unfiltered rack.
      */
     void setLive(unsigned m, bool live);
 
@@ -142,7 +134,10 @@ class TorSwitch
     bool live(unsigned m) const { return _live.at(m); }
 
     /** Number of dispatchable members. */
-    unsigned liveCount() const { return _liveCount; }
+    unsigned liveCount() const
+    {
+        return static_cast<unsigned>(_liveList.size());
+    }
 
     /** Choose the member for @p pkt. */
     unsigned pick(const Packet &pkt);
@@ -196,20 +191,17 @@ class TorSwitch
     std::uint64_t _rrNext = 0;
     std::vector<std::uint64_t> _dispatched;
     std::uint64_t _chainForwards = 0;
-    LoadProbe _probe;
     BatchLoadProbe _batchProbe;
     /** Scratch for the batched LeastQueue pass (no per-pick alloc). */
     std::vector<std::uint64_t> _loadScratch;
     /** Eligibility mask (all true by default). */
     std::vector<bool> _live;
-    unsigned _liveCount;
-    /** Indices of the live members, ascending — rebuilt by setLive
-     *  so pick() never scans the mask. */
+    /** Indices of the live members, ascending (0..members-1 while
+     *  all are live) — rebuilt by setLive so pick() never scans the
+     *  mask. */
     std::vector<unsigned> _liveList;
 
     std::uint64_t load(unsigned member);
-    /** pick() over a partially-live rack (any policy). */
-    unsigned pickFiltered(const Packet &pkt);
 };
 
 } // namespace snic::net

@@ -5,8 +5,7 @@
  * single-member identity invariant (a rack chain placed entirely on
  * member 0 is bitwise the standalone Testbed chain), forced-ingress
  * dispatch, spanning-aware power control, the bounded-probe JSQ(d)
- * policy, the batched least_queue probe, and the rack-level
- * placement key/advisor.
+ * policy, and the rack-level placement key/advisor.
  */
 
 #include <gtest/gtest.h>
@@ -380,6 +379,19 @@ torConfig(net::DispatchPolicy policy, unsigned members,
     return tc;
 }
 
+/** A load probe reporting @p load(m) for each member it is asked
+ *  about. */
+template <class F>
+net::BatchLoadProbe
+perMemberProbe(F load)
+{
+    return [load](const unsigned *members, unsigned n,
+                  std::uint64_t *out) {
+        for (unsigned i = 0; i < n; ++i)
+            out[i] = load(members[i]);
+    };
+}
+
 net::Packet
 packetWithFlow(std::uint64_t id)
 {
@@ -400,7 +412,8 @@ TEST(RackChain, DChoiceWithOneProbeIsRandom)
         torConfig(net::DispatchPolicy::Random, 8));
     net::TorSwitch dchoice(
         torConfig(net::DispatchPolicy::RandomDChoice, 8, 1));
-    dchoice.setLoadProbe([](unsigned) { return 0ull; });
+    dchoice.setBatchLoadProbe(
+        perMemberProbe([](unsigned) -> std::uint64_t { return 0; }));
     for (std::uint64_t i = 0; i < 500; ++i) {
         const net::Packet p = packetWithFlow(i);
         EXPECT_EQ(dchoice.pick(p), random.pick(p));
@@ -413,10 +426,10 @@ TEST(RackChain, DChoiceWithTwoProbesMatchesRandom2Choice)
     auto probe = [&loads](unsigned m) { return loads[m]; };
     net::TorSwitch two(
         torConfig(net::DispatchPolicy::Random2Choice, 8));
-    two.setLoadProbe(probe);
+    two.setBatchLoadProbe(perMemberProbe(probe));
     net::TorSwitch dchoice(
         torConfig(net::DispatchPolicy::RandomDChoice, 8, 2));
-    dchoice.setLoadProbe(probe);
+    dchoice.setBatchLoadProbe(perMemberProbe(probe));
     for (std::uint64_t i = 0; i < 500; ++i) {
         const net::Packet p = packetWithFlow(i);
         EXPECT_EQ(dchoice.pick(p), two.pick(p));
@@ -449,63 +462,14 @@ TEST(RackChain, DChoiceSpreadsBetterThanRandomUnderSkew)
         torConfig(net::DispatchPolicy::Random, 16));
     net::TorSwitch dchoice(
         torConfig(net::DispatchPolicy::RandomDChoice, 16, 2));
-    dchoice.setLoadProbe([&lb](unsigned m) { return lb[m]; });
+    dchoice.setBatchLoadProbe(
+        perMemberProbe([&lb](unsigned m) { return lb[m]; }));
     for (std::uint64_t i = 0; i < 20000; ++i) {
         const net::Packet p = packetWithFlow(i);
         ++la[random.pick(p)];
         ++lb[dchoice.pick(p)];
     }
     EXPECT_LT(dchoice.imbalance(), random.imbalance());
-}
-
-// --- Batched least_queue probe ---
-
-TEST(RackChain, BatchedLeastQueueMatchesScalarProbe)
-{
-    // The batched probe is a performance path only: with identical
-    // load numbers the argmin (first minimum wins) must pick the
-    // same member as the per-member scalar path — including on ties
-    // and with members removed from the live set.
-    std::vector<std::uint64_t> loads = {7, 3, 3, 9, 1, 1, 8, 2};
-    auto run = [&loads](bool batched, bool filter) {
-        net::TorSwitch tor(
-            torConfig(net::DispatchPolicy::LeastQueue, 8));
-        if (batched) {
-            tor.setBatchLoadProbe([&loads](const unsigned *members,
-                                           unsigned n,
-                                           std::uint64_t *out) {
-                for (unsigned i = 0; i < n; ++i)
-                    out[i] = loads[members ? members[i] : i];
-            });
-        } else {
-            tor.setLoadProbe(
-                [&loads](unsigned m) { return loads[m]; });
-        }
-        if (filter) {
-            tor.setLive(4, false);
-            tor.setLive(5, false);
-        }
-        std::vector<unsigned> picks;
-        for (std::uint64_t i = 0; i < 64; ++i) {
-            picks.push_back(tor.pick(packetWithFlow(i)));
-            ++loads[picks.back()];
-        }
-        return picks;
-    };
-
-    auto base = loads;
-    const auto scalar_full = run(false, false);
-    loads = base;
-    const auto batch_full = run(true, false);
-    EXPECT_EQ(scalar_full, batch_full);
-
-    loads = base;
-    const auto scalar_filtered = run(false, true);
-    loads = base;
-    const auto batch_filtered = run(true, true);
-    EXPECT_EQ(scalar_filtered, batch_filtered);
-    EXPECT_EQ(std::count(scalar_filtered.begin(),
-                         scalar_filtered.end(), 4u), 0);
 }
 
 // --- Rack-level placement key and advisor ---

@@ -32,6 +32,19 @@ torConfig(net::DispatchPolicy policy, unsigned members)
     return c;
 }
 
+/** A load probe reporting @p load(m) for each member it is asked
+ *  about. */
+template <class F>
+net::BatchLoadProbe
+perMemberProbe(F load)
+{
+    return [load](const unsigned *members, unsigned n,
+                  std::uint64_t *out) {
+        for (unsigned i = 0; i < n; ++i)
+            out[i] = load(members[i]);
+    };
+}
+
 /** 1000 distinct-flow picks through the switch. */
 std::vector<std::uint64_t>
 runPicks(net::TorSwitch &tor)
@@ -79,8 +92,8 @@ TEST(SleepDispatch, LeastQueueWouldHaveHerdedOntoTheSleeper)
     // live mask must exclude it entirely.
     net::TorSwitch tor(
         torConfig(net::DispatchPolicy::LeastQueue, 4));
-    tor.setLoadProbe(
-        [](unsigned m) -> std::uint64_t { return m == 2 ? 0 : 100; });
+    tor.setBatchLoadProbe(perMemberProbe(
+        [](unsigned m) -> std::uint64_t { return m == 2 ? 0 : 100; }));
 
     // Sanity: with everyone live, the herd goes exactly there.
     net::Packet probe_pkt;
@@ -103,9 +116,10 @@ TEST(SleepDispatch, EveryPolicyExcludesTheDeadMember)
         net::TorSwitch tor(torConfig(policy, 4));
         // Rig the probe so the dead member is always the tempting
         // choice for the load-aware policies.
-        tor.setLoadProbe([](unsigned m) -> std::uint64_t {
-            return m == 1 ? 0 : 50;
-        });
+        tor.setBatchLoadProbe(
+            perMemberProbe([](unsigned m) -> std::uint64_t {
+                return m == 1 ? 0 : 50;
+            }));
         tor.setLive(1, false);
         EXPECT_EQ(tor.liveCount(), 3u);
         EXPECT_FALSE(tor.live(1));
@@ -126,6 +140,77 @@ TEST(SleepDispatch, EveryPolicyExcludesTheDeadMember)
             EXPECT_GT(counts[3], 0u)
                 << net::dispatchPolicyName(policy);
         }
+    }
+}
+
+TEST(SleepDispatch, PickSequencesArePinnedPerPolicy)
+{
+    // FNV-1a over 1,000 picks per policy, with every member live and
+    // with members 2 and 5 removed, under a deterministic load probe
+    // that changes with every pick (so ties and reversals both
+    // occur). Pins the dispatch decisions, RNG draws included.
+    using net::DispatchPolicy;
+    struct Case
+    {
+        DispatchPolicy policy;
+        unsigned members;
+        bool filtered;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {DispatchPolicy::PassThrough, 1, false,
+         0x12633b178b17a745ULL},
+        {DispatchPolicy::RoundRobin, 8, false,
+         0x9f75f2fde606381dULL},
+        {DispatchPolicy::RoundRobin, 8, true,
+         0xbe3f83c6e0366829ULL},
+        {DispatchPolicy::Random, 8, false,
+         0xfcae47575fbb347fULL},
+        {DispatchPolicy::Random, 8, true,
+         0x0d877b36246fd070ULL},
+        {DispatchPolicy::Random2Choice, 8, false,
+         0x073e2eecf8b3c355ULL},
+        {DispatchPolicy::Random2Choice, 8, true,
+         0x28edfb044df5dce2ULL},
+        {DispatchPolicy::FlowHash, 8, false,
+         0xc321883085384274ULL},
+        {DispatchPolicy::FlowHash, 8, true,
+         0x1ebc63bec07c10abULL},
+        {DispatchPolicy::LeastQueue, 8, false,
+         0xaf564abeedccad41ULL},
+        {DispatchPolicy::LeastQueue, 8, true,
+         0x736a456c45715d18ULL},
+        {DispatchPolicy::RandomDChoice, 8, false,
+         0x2e267388c941822eULL},
+        {DispatchPolicy::RandomDChoice, 8, true,
+         0x7ed8cf4c5d8f69ccULL},
+    };
+    for (const Case &c : cases) {
+        net::TorConfig cfg = torConfig(c.policy, c.members);
+        cfg.flowCount = 16;
+        cfg.hotFlowFraction = 0.25;
+        cfg.probes = 3;
+        net::TorSwitch tor(cfg);
+        std::uint64_t step = 0;
+        tor.setBatchLoadProbe(
+            perMemberProbe([&step](unsigned m) -> std::uint64_t {
+                const std::uint64_t x =
+                    ((step << 8) | m) * 0x9e3779b97f4a7c15ULL;
+                return (x ^ (x >> 29)) % 8;
+            }));
+        if (c.filtered) {
+            tor.setLive(2, false);
+            tor.setLive(5, false);
+        }
+        std::uint64_t hash = 0xcbf29ce484222325ULL;
+        for (step = 0; step < 1000; ++step) {
+            net::Packet pkt;
+            pkt.id = step;
+            pkt.flowHash = step * 2654435761u;
+            hash = (hash ^ tor.pick(pkt)) * 0x100000001b3ULL;
+        }
+        EXPECT_EQ(hash, c.hash) << net::dispatchPolicyName(c.policy)
+                                << (c.filtered ? " filtered" : "");
     }
 }
 

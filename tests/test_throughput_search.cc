@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the capacity search: saturation confirmation on the
- * first window, and the escalate-on-non-saturation branch.
+ * first window, the escalate-on-non-saturation branch, and the
+ * rack search agreeing with the standalone one.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/rack.hh"
 #include "core/testbed.hh"
 #include "core/throughput_search.hh"
 #include "hw/specs.hh"
@@ -75,4 +77,38 @@ TEST(ThroughputSearch, WireLimitCountsAsSaturated)
     const Capacity cap = findCapacity(bed, opts);
     EXPECT_TRUE(cap.saturated);
     EXPECT_EQ(cap.attempts, 1);
+}
+
+TEST(ThroughputSearch, OneMemberRackMatchesTestbed)
+{
+    // A 1-member pass_through rack is the standalone testbed's event
+    // sequence, so its capacity search must agree field for field —
+    // both from the estimate-derived first offer and from a low one
+    // that walks the escalation branch up to the wire cap.
+    for (const double initial : {0.0, 5.0}) {
+        ExperimentOptions opts;
+        opts.targetSamples = 5000;
+        opts.initialOfferedGbps = initial;
+
+        auto bed = makeBed("micro_udp_1024", hw::Platform::HostCpu, 7);
+        const Capacity alone = findCapacity(bed, opts);
+
+        RackConfig rc;
+        rc.workloadId = "micro_udp_1024";
+        rc.platform = hw::Platform::HostCpu;
+        rc.servers = 1;
+        rc.policy = net::DispatchPolicy::PassThrough;
+        rc.seed = 7;
+        Rack rack(rc);
+        const Capacity racked = findCapacity(rack, opts);
+
+        EXPECT_EQ(racked.gbps, alone.gbps) << initial;
+        EXPECT_EQ(racked.requestGbps, alone.requestGbps) << initial;
+        EXPECT_EQ(racked.rps, alone.rps) << initial;
+        EXPECT_EQ(racked.attempts, alone.attempts) << initial;
+        EXPECT_EQ(racked.saturated, alone.saturated) << initial;
+        if (initial > 0.0) {
+            EXPECT_GE(racked.attempts, 2) << "escalation not reached";
+        }
+    }
 }
