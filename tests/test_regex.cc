@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "alg/regex/dfa.hh"
@@ -66,6 +67,16 @@ struct MatchCase
     const char *text;
     bool expect;
 };
+
+// Without a printer gtest dumps the struct's bytes (two pointers and
+// padding) into the listed parameter, and ctest builds its test names
+// from that, so every build and run named the cases differently.
+void
+PrintTo(const MatchCase &c, std::ostream *os)
+{
+    *os << c.pattern << " vs " << c.text << ": "
+        << (c.expect ? "match" : "no match");
+}
 
 class RegexSemantics : public ::testing::TestWithParam<MatchCase>
 {
